@@ -957,7 +957,26 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Join_cost.theorem5_bound (Params.make ~b:16 ~d:40) ~n:100_000 ~m:1000)))
   in
-  let benchmarks = [ bench_route; bench_check; bench_join; bench_bound ] in
+  (* Repair.find_live from one owner: a suffix a direct neighbor carries
+     (one-hop hit), and the owner's full ID, which no other member carries
+     (Not_found, settled by the carrier test). *)
+  let owner = Ntcu_core.Node.table (Ntcu_core.Network.node_exn run.net ids.(0)) in
+  let neighbor =
+    Ntcu_table.Table.fold owner ~init:ids.(0) ~f:(fun acc ~level:_ ~digit:_ n _ ->
+        if Ntcu_id.Id.equal acc ids.(0) then n else acc)
+  in
+  let bench_find_live name suffix =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Ntcu_extensions.Repair.find_live run.net ~owner ~suffix)))
+  in
+  let bench_find_hit = bench_find_live "find-live-one-hop-hit" (Ntcu_id.Id.suffix neighbor 1) in
+  let bench_find_miss =
+    bench_find_live "find-live-not-found" (Ntcu_id.Id.suffix ids.(0) p.Params.d)
+  in
+  let benchmarks =
+    [ bench_route; bench_check; bench_join; bench_bound; bench_find_hit; bench_find_miss ]
+  in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   List.iter

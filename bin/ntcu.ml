@@ -363,9 +363,13 @@ let churn_cmd =
       in
       Ntcu_harness.Report.Json.to_file out (Churn.bench_json ?sweep result);
       Format.printf "wrote %s@." out;
-      (* Best-effort claim, as for the fault command: under crash churn the
-         final consistency is a measurement, not a guarantee. *)
-      if Churn.ok ~claim:Experiment.Best_effort result then 0 else 1
+      (* Under crash churn the final consistency is a measurement, not a
+         guarantee, so the claim is best-effort as for the fault command.
+         Graceful churn (no crashes) must end strictly consistent. *)
+      let claim =
+        if cfg.Churn.crash_fraction = 0. then Experiment.Strict else Experiment.Best_effort
+      in
+      if Churn.ok ~claim result then 0 else 1
   in
   let opt_int names doc = Arg.(value & opt (some int) None & info names ~docv:"N" ~doc) in
   let opt_float names docv doc =

@@ -186,12 +186,12 @@ val health : config -> summary -> string list
     ["liveness"] (did not drain to an all-[in_system] network). *)
 
 val ok : ?claim:Ntcu_harness.Experiment.claim -> result -> bool
-(** [Best_effort] (the churn regime's claim, see
+(** [Best_effort] (the claim under crash churn, see
     {!Ntcu_harness.Experiment.claim}): drained, final network all
     [in_system], nonempty, and tail mean size within the +/-25% band.
     [Strict] (default) additionally requires the final network to be
     Definition 3.8 consistent — under crash churn that is a measurement, not
-    a guarantee. *)
+    a guarantee; [ntcu churn] gates graceful churn (no crashes) on it. *)
 
 (** {1 Half-life sweep} *)
 

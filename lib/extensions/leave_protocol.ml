@@ -133,14 +133,19 @@ let repair_at t ~v ~leaver ~replacements =
             (* Leaving nodes (including the leaver, still registered until
                its acknowledgements arrive) are not valid candidates. *)
             let exclude cand = Id.Tbl.mem t.leaving cand in
-            match Repair.find_live ~exclude t.net ~owner:tv ~suffix with
-            | Repair.Found_local { candidate; _ } ->
-              t.fallback_local <- t.fallback_local + 1;
-              install candidate
-            | Repair.Found_flood { candidate; _ } ->
-              t.fallback_flood <- t.fallback_flood + 1;
-              install candidate
-            | Repair.Not_found _ -> t.emptied <- t.emptied + 1
+            (* With no live carrier the search can only miss, and its cost
+               is not counted here: empty the entry without running it. *)
+            if not (Repair.has_live_carrier ~exclude t.net ~owner:tv ~suffix) then
+              t.emptied <- t.emptied + 1
+            else
+              match Repair.find_live ~exclude t.net ~owner:tv ~suffix with
+              | Repair.Found_local { candidate; _ } ->
+                t.fallback_local <- t.fallback_local + 1;
+                install candidate
+              | Repair.Found_flood { candidate; _ } ->
+                t.fallback_flood <- t.fallback_flood + 1;
+                install candidate
+              | Repair.Not_found _ -> t.emptied <- t.emptied + 1
           end)
         | Some _ | None -> ()
       done

@@ -13,7 +13,8 @@
       replacement;
     + a repairing node installs a received replacement only if it is still
       present and not leaving; otherwise it falls back to
-      {!Repair.find_live}.
+      {!Repair.find_live}, or empties the entry without a search when
+      {!Repair.has_live_carrier} finds no live, non-leaving carrier.
 
     Together with reverse-neighbor registration at install time, this
     guarantees that when a replacement later leaves, the nodes now pointing
@@ -26,7 +27,9 @@ type report = {
   installed : int;  (** Entries repaired with the leaver's replacement. *)
   fallback_local : int;  (** Entries repaired via 1–2-hop search. *)
   fallback_flood : int;  (** Entries repaired via the suffix flood. *)
-  emptied : int;  (** Entries with no live holder left. *)
+  emptied : int;
+      (** Entries with no live holder left. Such an entry is emptied
+          without a search: {!Repair.has_live_carrier} rules one out first. *)
 }
 
 val pp_report : report Fmt.t

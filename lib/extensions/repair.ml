@@ -41,6 +41,22 @@ let scan_one net ~exclude ~owner_id ~suffix id =
           match acc with Some _ -> acc | None -> if matches cand then Some cand else None)
   end
 
+(* The suffix flood: the first live member in registration order, other
+   than the owner and not [exclude]d, that carries [suffix]. It reads no
+   table. Every tier returns only such a member, so when there is none
+   every tier would miss. *)
+let flood_hit ~exclude net ~owner_id ~suffix =
+  List.find_opt
+    (fun id ->
+      Id.has_suffix id suffix
+      && (not (Id.equal id owner_id))
+      && (not (exclude id))
+      && not (Network.is_failed net id))
+    (Network.ids net)
+
+let has_live_carrier ?(exclude = fun _ -> false) net ~owner ~suffix =
+  Option.is_some (flood_hit ~exclude net ~owner_id:(Table.owner owner) ~suffix)
+
 let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
   let owner_id = Table.owner owner in
   let consulted = ref 0 in
@@ -55,10 +71,8 @@ let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
       contacts None
   in
   let ring1 = live_contacts net owner in
-  match scan_set ring1 with
-  | Some candidate -> Found_local { candidate; tables_consulted = !consulted; hops = 1 }
-  | None -> begin
-    (* Two-hop ring: contacts of contacts, minus what we already scanned. *)
+  (* Two-hop ring: contacts of contacts, minus what ring 1 already holds. *)
+  let ring2 () =
     let ring2 =
       Id.Set.fold
         (fun id acc ->
@@ -67,22 +81,19 @@ let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
           | Some node -> Id.Set.union acc (live_contacts net (Node.table node)))
         ring1 Id.Set.empty
     in
-    let ring2 = Id.Set.diff (Id.Set.remove owner_id ring2) ring1 in
-    match scan_set ring2 with
-    | Some candidate -> Found_local { candidate; tables_consulted = !consulted; hops = 2 }
+    Id.Set.diff (Id.Set.remove owner_id ring2) ring1
+  in
+  match flood_hit ~exclude net ~owner_id ~suffix with
+  | None ->
+    (* No carrier: every tier would miss, so charge both rings and the flood
+       without scanning a table. *)
+    Not_found { tables_consulted = Id.Set.cardinal ring1 + Id.Set.cardinal (ring2 ()) + 1 }
+  | Some flooded -> begin
+    match scan_set ring1 with
+    | Some candidate -> Found_local { candidate; tables_consulted = !consulted; hops = 1 }
     | None -> begin
-      (* Suffix flood: global membership scan. *)
-      let hit =
-        List.find_opt
-          (fun id ->
-            (not (Id.equal id owner_id))
-            && (not (exclude id))
-            && Id.has_suffix id suffix)
-          (Network.live_ids net)
-      in
-      incr consulted;
-      match hit with
-      | Some candidate -> Found_flood { candidate; tables_consulted = !consulted }
-      | None -> Not_found { tables_consulted = !consulted }
+      match scan_set (ring2 ()) with
+      | Some candidate -> Found_local { candidate; tables_consulted = !consulted; hops = 2 }
+      | None -> Found_flood { candidate = flooded; tables_consulted = !consulted + 1 }
     end
   end

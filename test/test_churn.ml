@@ -161,6 +161,18 @@ let sweep_halves_half_life () =
       (p1.Churn.p_seed = tiny.Churn.seed + 97)
   | _ -> Alcotest.fail "expected 2 points"
 
+(* Graceful churn drives every departure through the message-level leave
+   protocol and its repair search; with no crashes the final network must
+   be Definition 3.8 consistent, the gate `ntcu churn --crash-fraction 0`
+   exits with. *)
+let graceful_smoke_strict () =
+  List.iter
+    (fun seed ->
+      let r = Churn.run { Churn.smoke with crash_fraction = 0.; seed } in
+      if not (Churn.ok ~claim:Experiment.Strict r) then
+        Alcotest.failf "seed %d: graceful smoke churn not strictly ok" seed)
+    [ 1; 2; 3 ]
+
 (* ---- Best_effort claim gating (shared with `ntcu fault`) ---- *)
 
 (* The canonical residual-hole fixture (Experiment.residual_hole): converges
@@ -195,6 +207,7 @@ let suites =
         Alcotest.test_case "sweep byte-identical across jobs" `Quick
           sweep_jobs_byte_identical;
         Alcotest.test_case "sweep halves half-life" `Quick sweep_halves_half_life;
+        Alcotest.test_case "graceful smoke is strict" `Quick graceful_smoke_strict;
         Alcotest.test_case "best-effort claim gates residual hole" `Quick
           best_effort_gates_residual_hole;
       ] );

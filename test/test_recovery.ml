@@ -122,6 +122,74 @@ let repair_find_live_tiers () =
   | Repair.Not_found _ -> ()
   | other -> Alcotest.failf "exclusion ignored: %a" Repair.pp_outcome other
 
+(* find_live's contract, checked against brute force: Not_found exactly when
+   no live carrier (registered, not failed, not the owner, not excluded)
+   exists; any hit is such a carrier; and a Not_found charges every ring-1
+   and ring-2 table plus the flood. The rings are rebuilt here from the
+   tables' neighbor and reverse sets. *)
+let find_live_contract () =
+  let local = ref 0 and flood = ref 0 and missed = ref 0 in
+  List.iter
+    (fun seed ->
+      let run = build ~seed:(40 + seed) ~n:30 ~m:20 in
+      let net = run.net in
+      ignore (Recovery.fail_random net ~seed:(50 + seed) ~fraction:0.2);
+      let rng = Ntcu_std.Rng.create (60 + seed) in
+      let all = Network.ids net in
+      let live id = Network.mem net id && not (Network.is_failed net id) in
+      let contacts owner_id =
+        match Network.node net owner_id with
+        | None -> []
+        | Some node ->
+          let t = Node.table node in
+          Id.Set.elements (Ntcu_table.Table.known_nodes t)
+          @ Id.Set.elements (Ntcu_table.Table.all_reverse t)
+          |> List.filter (fun id -> live id && not (Id.equal id owner_id))
+          |> List.sort_uniq Id.compare
+      in
+      for _ = 1 to 60 do
+        let owner_id = Ntcu_std.Rng.pick_list rng (Network.live_ids net) in
+        let owner = Node.table (Network.node_exn net owner_id) in
+        let source = Ntcu_std.Rng.pick_list rng all in
+        let suffix = Id.suffix source (1 + Ntcu_std.Rng.int rng p.d) in
+        let excluded =
+          List.filter (fun _ -> Ntcu_std.Rng.int rng 4 = 0) all
+          @ if Ntcu_std.Rng.bool rng then [ source ] else []
+        in
+        let exclude id = List.exists (Id.equal id) excluded in
+        let carrier id =
+          live id
+          && (not (Id.equal id owner_id))
+          && (not (exclude id))
+          && Id.has_suffix id suffix
+        in
+        let hit count candidate outcome =
+          incr count;
+          if not (carrier candidate) then
+            Alcotest.failf "seed %d: %a is not a live carrier" seed Repair.pp_outcome outcome
+        in
+        match Repair.find_live ~exclude net ~owner ~suffix with
+        | Repair.Found_local { candidate; _ } as o -> hit local candidate o
+        | Repair.Found_flood { candidate; _ } as o -> hit flood candidate o
+        | Repair.Not_found { tables_consulted } ->
+          incr missed;
+          if List.exists carrier all then
+            Alcotest.failf "seed %d: Not_found beside a live carrier" seed;
+          let ring1 = contacts owner_id in
+          let ring2 =
+            List.concat_map contacts ring1
+            |> List.filter (fun id ->
+                   (not (Id.equal id owner_id)) && not (List.exists (Id.equal id) ring1))
+            |> List.sort_uniq Id.compare
+          in
+          check Alcotest.int "Not_found charges both rings and the flood"
+            (List.length ring1 + List.length ring2 + 1)
+            tables_consulted
+      done)
+    [ 1; 2; 3; 4 ];
+  check Alcotest.bool "local hits exercised" true (!local > 0);
+  check Alcotest.bool "misses exercised" true (!missed > 0)
+
 let repair_requires_quiescence () =
   let run = build ~seed:20 ~n:10 ~m:5 in
   (* A scheduled join leaves events pending: the offline repair pass reads
@@ -216,6 +284,7 @@ let suites =
         Alcotest.test_case "idempotent" `Quick repair_is_idempotent;
         Alcotest.test_case "join after recovery" `Quick join_after_recovery;
         Alcotest.test_case "find_live tiers" `Quick repair_find_live_tiers;
+        Alcotest.test_case "find_live contract" `Quick find_live_contract;
         Alcotest.test_case "requires quiescence" `Quick repair_requires_quiescence;
       ] );
     ( "extensions.leave_protocol",
